@@ -74,14 +74,12 @@ class SideInit:
     config: Any
     #: the side's index adapter (a picklable frozen dataclass)
     adapter: Any
-    #: tombstones to replay: ((partition id, (row, ...)), ...)
-    dead_rows: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()
 
 
 @dataclass(frozen=True)
 class WorkerInit:
     """Everything a spawned worker needs to mirror the coordinator's
-    view: per-side store paths, configs, adapters and tombstones.  No
+    view: per-side store paths, configs and adapters.  No
     coordinate bytes — workers map their own."""
 
     sides: Tuple[Tuple[str, SideInit], ...]
@@ -148,11 +146,7 @@ class WorkerState:
     def dataset(self, side: str, pid: int):
         key = (side, pid)
         if key not in self._datasets:
-            part = self._store(side).partition(pid)
-            for dead_pid, rows in self._sides[side].dead_rows:
-                if dead_pid == pid and rows:
-                    part.mark_rows_removed(rows)
-            self._datasets[key] = part
+            self._datasets[key] = self._store(side).partition(pid)
             self._bump("pool.blocks_mapped")
         return self._datasets[key]
 
@@ -257,7 +251,7 @@ class ParallelExecutor:
 
     One pool amortizes worker spawn and index builds across many
     batches; the engine keeps it alive until the underlying snapshot
-    changes (an insert/remove) or the engine shuts down.
+    changes (a delta flush, merge or repartition) or the engine shuts down.
     """
 
     def __init__(self, init: WorkerInit, num_workers: int) -> None:

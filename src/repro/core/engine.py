@@ -69,6 +69,26 @@ def _resolve_adapter(distance: "str | IndexAdapter", config: DITAConfig) -> Inde
     return distance
 
 
+def _validated_points(points, ndim: Optional[int]) -> np.ndarray:
+    """The write-entry check every append/extend runs before routing or
+    touching any state: ``points`` as a float64 ``(n, ndim)`` array with at
+    least one point and only finite coordinates, else a ValueError naming
+    the problem."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0:
+        raise ValueError("a trajectory write needs at least one point")
+    pts = np.atleast_2d(pts)
+    if pts.ndim != 2:
+        raise ValueError(f"points must be an (n, d) array, got shape {pts.shape}")
+    if ndim is not None and pts.shape[1] != ndim:
+        raise ValueError(
+            f"points have {pts.shape[1]} coordinates, the engine indexes {ndim}"
+        )
+    if not np.isfinite(pts).all():
+        raise ValueError("points contain NaN or infinite coordinates")
+    return pts
+
+
 @dataclass
 class _EngineTask:
     """One schedulable unit: the backend-neutral :class:`TaskSpec` plus
@@ -193,7 +213,7 @@ class DITAEngine:
         raw_partitions = partition_trajectories(data, self.config.num_global_partitions)
         self.global_index = GlobalIndex(raw_partitions, self.config)
         #: per-partition columnar blocks; each trie shares its partition's
-        #: dataset instance, so updates stay consistent by construction
+        #: dataset instance; both are immutable (a flush replaces them)
         self.partitions: Dict[int, ColumnarDataset] = {
             pid: part for pid, part in enumerate(raw_partitions) if len(part)
         }
@@ -268,7 +288,6 @@ class DITAEngine:
         handing it a streamed engine's ``{pid: engine.partition(pid)}``
         yields a freshly bulk-built twin with the same partition ids, row
         numbering and (therefore) byte-identical query results and stats.
-        Pass compact datasets when row numbering must line up.
         """
         self = cls.__new__(cls)
         self.config = config or DITAConfig()
@@ -328,8 +347,7 @@ class DITAEngine:
             self.enable_tracing()
 
     def _init_runtime_state(self) -> None:
-        """Mutable non-index state every construction path (including
-        :func:`~repro.core.persistence.load_engine`) must set up."""
+        """Mutable non-index state every construction path must set up."""
         # process-backend state: mutation generation, worker pool and the
         # spilled snapshot a non-store (or mutated) engine hands workers
         self._mutations = 0
@@ -496,8 +514,8 @@ class DITAEngine:
         """The engine's mutation-generation counter: a monotonic integer
         that advances on *every* logical mutation — buffered
         ``append_trajectory``/``extend_trajectory``/``remove_trajectory``
-        writes (before any flush), legacy ``insert``/``remove``, delta
-        flushes, :meth:`merge` and :meth:`repartition`.  External caches
+        writes (before any flush), delta flushes, :meth:`merge` and
+        :meth:`repartition`.  External caches
         (:mod:`repro.serving`) key entries on it: an entry stamped at an
         older generation can never be served against newer data.
         """
@@ -544,63 +562,16 @@ class DITAEngine:
         return self.global_index.size_bytes(), local
 
     # ------------------------------------------------------------------ #
-    # incremental updates
+    # index refresh after a layout change
     # ------------------------------------------------------------------ #
 
-    def insert(self, traj: Trajectory) -> None:
-        """Insert a trajectory into the live index.
-
-        Routing picks the partition whose first/last-point MBR pair needs
-        the least enlargement; the partition's align MBRs grow accordingly
-        and the (small) global R-trees are rebuilt, so search and join stay
-        exact after any number of inserts.  (On a store-backed engine this
-        forces every block to load — updates need the full id set.)
-        """
-        self._sync_streams()
-        if any(traj.traj_id in self.partition(pid) for pid in self.partition_pids()):
-            raise ValueError(f"trajectory id {traj.traj_id} already present")
-
-        def enlargement(meta) -> float:
-            grown_f = meta.mbr_first.union(MBR.of_point(traj.first))
-            grown_l = meta.mbr_last.union(MBR.of_point(traj.last))
-            return (grown_f.area() - meta.mbr_first.area()) + (
-                grown_l.area() - meta.mbr_last.area()
-            )
-
-        meta = min(self.global_index.partitions_meta, key=lambda m: (enlargement(m), m.partition_id))
-        pid = meta.partition_id
-        # the trie appends to its (shared) partition dataset itself
-        self.trie(pid).insert(traj)
-        self._bump_generation([pid])
-        self._refresh_global_index()
-
-    def remove(self, traj_id: int) -> bool:
-        """Remove a trajectory by id from the live index (False if absent)."""
-        self._sync_streams()
-        for pid in self.partition_pids():
-            part = self.partition(pid)
-            if traj_id not in part:
-                continue
-            self.trie(pid).remove(traj_id)
-            if len(part) == 0:
-                del self.partitions[pid]
-                del self.tries[pid]
-                self._searchers.pop(pid, None)
-            self._bump_generation([pid])
-            self._refresh_global_index()
-            return True
-        return False
-
     def _refresh_global_index(self) -> None:
-        """Rebuild the master-side metadata after an update (cheap: two
-        R-trees over at most NG^2 partition MBRs)."""
+        """Rebuild the master-side metadata after a flush or repartition
+        (cheap: two R-trees over at most NG^2 partition MBRs)."""
         infos: List[PartitionInfo] = []
         for pid in self.partition_pids():
             if pid in self.partitions:
-                part = self.partitions[pid]
-                if len(part) == 0:
-                    continue
-                infos.append(partition_info(pid, part))
+                infos.append(partition_info(pid, self.partitions[pid]))
             else:
                 infos.append(_info_from_store_meta(self._store.metas[pid]))
         self.global_index = GlobalIndex.from_infos(infos, self.config)
@@ -623,27 +594,30 @@ class DITAEngine:
     def _delta(self, pid: int) -> DeltaPartition:
         d = self._deltas.get(pid)
         if d is None:
-            ndim = None
-            if pid in self.partitions:
-                ndim = self.partitions[pid].ndim
-            elif self._store is not None and pid in self._unloaded:
-                ndim = int(self._store.catalog["ndim"])
-            d = DeltaPartition(ndim)
+            d = DeltaPartition(self._ndim())
             self._deltas[pid] = d
         return d
+
+    def _ndim(self) -> Optional[int]:
+        """Coordinate dimensionality of the indexed rows (None when the
+        engine holds no partition)."""
+        if self.partitions:
+            return next(iter(self.partitions.values())).ndim
+        if self._store is not None:
+            return int(self._store.catalog["ndim"])
+        return None
 
     def _id_map(self) -> Dict[int, int]:
         """``trajectory id -> partition id`` over base and pending rows.
 
-        Built lazily and invalidated by any index refresh; like
-        :meth:`insert`, building it forces a store-backed engine to load
-        every block (updates need the full id set).
+        Built lazily and invalidated by any index refresh; building it
+        forces a store-backed engine to load every block (writes need the
+        full id set).
         """
         if self._stream_ids is None:
             ids: Dict[int, int] = {}
             for pid in self.partition_pids():
-                part = self.partition(pid)
-                for tid in part.traj_ids[part.alive_rows()]:
+                for tid in self.partition(pid).traj_ids:
                     ids[int(tid)] = pid
             for pid, delta in self._deltas.items():
                 for tid in delta.removed:
@@ -657,17 +631,18 @@ class DITAEngine:
         """Buffer a new trajectory in its home partition's delta; returns
         the partition id it was routed to.
 
-        Routing is the same least-enlargement rule as :meth:`insert`, but
-        the write is O(1): no block, trie or global-index bytes move until
+        Routing picks the partition whose first/last-point MBR pair needs
+        the least enlargement.  The write is O(1): no block, trie or
+        global-index bytes move until
         the delta is applied (at ``delta_max_rows``, or lazily by the next
         query).  Queries between now and then still see the trajectory —
         the read path folds pending deltas in first — with results and
         stats byte-identical to a bulk rebuild over the same logical data.
         """
+        pts = _validated_points(points, self._ndim())
         traj_id = int(traj_id)
         if traj_id in self._id_map():
             raise ValueError(f"trajectory id {traj_id} already present")
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         first, last = MBR.of_point(pts[0]), MBR.of_point(pts[-1])
 
         def enlargement(meta) -> float:
@@ -690,16 +665,16 @@ class DITAEngine:
         """Buffer extra points onto an existing trajectory (KeyError when
         absent).  A base row is shadowed by a delta row holding the full
         extended point array; a pending row just grows in place."""
+        pts = _validated_points(extra_points, self._ndim())
         traj_id = int(traj_id)
         pid = self._id_map().get(traj_id)
         if pid is None:
             raise KeyError(traj_id)
         delta = self._delta(pid)
         if traj_id in delta.appended:
-            delta.extend_pending(traj_id, extra_points)
+            delta.extend_pending(traj_id, pts)
         else:
             part = self.partition(pid)
-            pts = np.atleast_2d(np.asarray(extra_points, dtype=np.float64))
             full = np.concatenate([part.points(part.row_of(traj_id)), pts], axis=0)
             delta.replace(traj_id, full)
         self._note_write(pid)
@@ -842,7 +817,7 @@ class DITAEngine:
         try:
             metas = []
             for pid in pids:
-                part = self.partition(pid).compact()
+                part = self.partition(pid)
                 meta = self.cluster.run_local(
                     pid,
                     lambda p=part, i=pid: write_partition_block(staging, i, p),
@@ -850,8 +825,7 @@ class DITAEngine:
                     tag="merge.partition",
                 )
                 metas.append(meta)
-            ndim = next(iter(self.partitions.values())).ndim
-            write_catalog(staging, metas, ndim, self.config.num_global_partitions)
+            write_catalog(staging, metas, self._ndim(), self.config.num_global_partitions)
             gens.commit(gen)
         except BaseException:
             gens.abort(gen)
@@ -934,8 +908,7 @@ class DITAEngine:
             self._ensure_loaded(pid)
         id_to_old: Dict[int, int] = {}
         for pid in old_pids:
-            part = self.partitions[pid]
-            for tid in part.traj_ids[part.alive_rows()]:
+            for tid in self.partitions[pid].traj_ids:
                 id_to_old[int(tid)] = pid
         logical = concat_datasets([self.partitions[pid] for pid in sorted(old_pids)])
         groups = partition_trajectories(logical, self.config.num_global_partitions)
@@ -1071,39 +1044,35 @@ class DITAEngine:
         return self._pool
 
     def _side_init(self) -> SideInit:
-        path, dead = self._ensure_snapshot()
-        return SideInit(store_path=path, config=self.config, adapter=self.adapter, dead_rows=dead)
+        return SideInit(
+            store_path=self._ensure_snapshot(), config=self.config, adapter=self.adapter
+        )
 
-    def _ensure_snapshot(self) -> Tuple[str, tuple]:
-        """``(store path, tombstones)`` giving worker processes a
-        mappable, row-aligned view of this engine's partitions.
+    def _ensure_snapshot(self) -> str:
+        """The store path giving worker processes a mappable, row-aligned
+        view of this engine's partitions.
 
         A store-backed engine that was never mutated hands out its own
         store directory (zero extra bytes on disk).  Otherwise the live
         partitions are spilled once per mutation generation — verbatim,
-        pids and row numbering preserved (:func:`snapshot_partitions`) —
-        and tombstoned rows ride along as indices for workers to replay.
+        pids and row numbering preserved (:func:`snapshot_partitions`).
         """
         if self._store is not None and self._mutations == 0:
-            return str(self._store.path), ()
+            return str(self._store.path)
         if self._spill_dir is None or self._spill_mutations != self._mutations:
             self._drop_spill()
             for pid in self.partition_pids():
                 self._ensure_loaded(pid)
             spill = tempfile.mkdtemp(prefix="repro-spill-")
-            ndim = next(iter(self.partitions.values())).ndim
             snapshot_partitions(
-                self.partitions, Path(spill) / "store", ndim, self.config.num_global_partitions
+                self.partitions,
+                Path(spill) / "store",
+                self._ndim(),
+                self.config.num_global_partitions,
             )
             self._spill_dir = spill
             self._spill_mutations = self._mutations
-        dead = []
-        for pid in sorted(self.partitions):
-            part = self.partitions[pid]
-            if len(part) != part.n_rows:
-                alive = set(part.alive_rows().tolist())
-                dead.append((pid, tuple(r for r in range(part.n_rows) if r not in alive)))
-        return str(Path(self._spill_dir) / "store"), tuple(dead)
+        return str(Path(self._spill_dir) / "store")
 
     def _merge_pool_obs(self, tasks: List[_EngineTask], results: Dict[int, Any]) -> None:
         """Fold the pool's per-task observability into the coordinator's.

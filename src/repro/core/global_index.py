@@ -52,16 +52,13 @@ class PartitionInfo:
 def partition_info(partition_id: int, part: ColumnarDataset) -> PartitionInfo:
     """The master-side metadata of one partition, straight from the
     dataset's vectorized summary arrays.  The partition must be non-empty."""
-    alive = part.alive_rows()
-    firsts = part.firsts[alive]
-    lasts = part.lasts[alive]
     return PartitionInfo(
         partition_id=partition_id,
-        mbr_first=MBR.of_points(firsts),
-        mbr_last=MBR.of_points(lasts),
-        size=int(alive.shape[0]),
+        mbr_first=MBR.of_points(part.firsts),
+        mbr_last=MBR.of_points(part.lasts),
+        size=part.n_rows,
         nbytes=part.nbytes(),
-        min_len=int(part.lengths[alive].min()),
+        min_len=int(part.lengths.min()),
     )
 
 

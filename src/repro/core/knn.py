@@ -41,7 +41,7 @@ PoolEntry = Tuple[ColumnarDataset, int]
 
 
 def _full_pool(engine: "DITAEngine") -> List[PoolEntry]:
-    """Every alive (dataset, row) across the engine's partitions, by pid."""
+    """Every (dataset, row) across the engine's partitions, by pid."""
     pool: List[PoolEntry] = []
     for pid in engine.partition_pids():
         part = engine.partition(pid)

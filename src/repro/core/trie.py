@@ -95,6 +95,9 @@ class FilterStats:
 class TrieIndex:
     """The local (per-partition) index of DITA.
 
+    Immutable once built: the engine's write path never edits a trie; a
+    delta flush bulk-builds a new one over the partition's new dataset.
+
     Parameters
     ----------
     trajectories:
@@ -110,48 +113,34 @@ class TrieIndex:
         self,
         trajectories: Union[ColumnarDataset, Iterable[Trajectory]],
         config: Optional[DITAConfig] = None,
-        _root: Optional[TrieNode] = None,
     ) -> None:
         self.config = config or DITAConfig()
         self.dataset = ColumnarDataset.from_trajectories(trajectories)
         cfg = self.config
-        rows = [int(r) for r in self.dataset.alive_rows()]
+        rows = list(range(self.dataset.n_rows))
         self._index_seqs: Dict[int, np.ndarray] = {
             r: indexing_points(self.dataset.points(r), cfg.num_pivots, cfg.pivot_strategy)
             for r in rows
         }
         self._ndim = self.dataset.ndim
-        # every structural mutation bumps this; derived caches (the stacked
-        # verification block and the columnar trie) key on it, so an
-        # equal-size remove+insert cycle can never resurrect stale arrays
-        self._mutations = 0
         self._block: Optional[TrajectoryBlock] = None
-        self._block_key = None
         self._columnar: Optional[ColumnarTrie] = None
-        self._columnar_key = None
-        self.root = self._build(rows, level=0) if _root is None else _root
-
-    def _cache_key(self):
-        return (self._mutations, self.dataset.version)
+        self.root = self._build(rows, level=0)
 
     def batch_block(self) -> TrajectoryBlock:
         """The partition's verification artifacts stacked for the batched
         filter stages (:mod:`repro.kernels.batch`), sharing the dataset's
         row space.  Built lazily straight from the columnar arrays and
-        cached; :meth:`insert` / :meth:`remove` invalidate the cache via
-        the mutation-version counter."""
-        if self._block is None or self._block_key != self._cache_key():
+        cached (the trie and its dataset never change after construction)."""
+        if self._block is None:
             self._block = TrajectoryBlock.from_columnar(self.dataset, self.config.cell_size)
-            self._block_key = self._cache_key()
         return self._block
 
     def columnar(self) -> ColumnarTrie:
         """The trie flattened into contiguous arrays for frontier traversal
-        (:mod:`repro.kernels.frontier`); cached under the same
-        mutation-version contract as :meth:`batch_block`."""
-        if self._columnar is None or self._columnar_key != self._cache_key():
+        (:mod:`repro.kernels.frontier`); built lazily and cached."""
+        if self._columnar is None:
             self._columnar = ColumnarTrie.from_root(self.root, self._ndim)
-            self._columnar_key = self._cache_key()
         return self._columnar
 
     # ------------------------------------------------------------------ #
@@ -284,7 +273,8 @@ class TrieIndex:
             stats.nodes_visited += 1
         # anything whose indexing sequence ended here survived every level,
         # and leaf members are candidates outright; a node can hold members
-        # *and* children (insert's overflow path), so always keep walking
+        # *and* children (short rows beside deeper groups), so always keep
+        # walking
         out.extend(node.short_rows)
         out.extend(node.rows)
         for child in node.children:
@@ -323,143 +313,6 @@ class TrieIndex:
 
         walk(self.root)
         return out
-
-    # ------------------------------------------------------------------ #
-    # incremental updates
-    # ------------------------------------------------------------------ #
-
-    def insert(self, traj: Trajectory) -> None:
-        """Insert one trajectory (R-tree-style least-enlargement routing).
-
-        The trajectory is appended to the partition's dataset (existing
-        rows keep their indices) and its new row descends the existing
-        tree, expanding node MBRs along the path; a leaf that grows beyond
-        twice the configured capacity is re-split by STR on its level's
-        indexing point.  All filter invariants are preserved (every node
-        MBR covers its subtree's indexing points), so search stays exact.
-        """
-        if traj.traj_id in self.dataset:
-            raise ValueError(f"trajectory {traj.traj_id} already indexed")
-        cfg = self.config
-        row = self.dataset.append(traj)
-        seq = indexing_points(self.dataset.points(row), cfg.num_pivots, cfg.pivot_strategy)
-        self._index_seqs[row] = seq
-        self._mutations += 1  # stacked batch/columnar arrays are stale now
-        n_pts = int(self.dataset.lengths[row])
-        node = self.root
-        level = 0
-        max_level = cfg.num_pivots + 2
-        while True:
-            node.max_len = max(node.max_len, n_pts)
-            if seq.shape[0] <= level:
-                node.short_rows.append(row)
-                return
-            if not node.children:
-                node.rows.append(row)
-                self._maybe_split(node, level)
-                return
-            point = seq[level]
-            best = min(
-                node.children,
-                key=lambda c: (c.mbr.min_dist_point(point), c.mbr.area()),
-            )
-            best.mbr = best.mbr.union(MBR.of_point(point))
-            node = best
-            level += 1
-            if level > max_level:  # defensive; trees never exceed this
-                node.rows.append(row)
-                return
-
-    def _maybe_split(self, node: TrieNode, level: int) -> None:
-        """Split an overflowing leaf into NL children at the next level."""
-        cfg = self.config
-        max_level = cfg.num_pivots + 2
-        if level >= max_level or len(node.rows) <= 2 * cfg.trie_leaf_capacity:
-            return
-        members = node.rows
-        # members always have an indexing point at `level` (short ones went
-        # to short_rows), so grouping by it is well-defined
-        pts = np.asarray([self._index_seqs[r][level] for r in members])
-        node.rows = []
-        groups = str_partition(pts, cfg.trie_fanout)
-        for idx in groups:
-            sub = [members[i] for i in idx.tolist()]
-            child = self._build(sub, level + 1)
-            child.kind = _level_kind(level + 1)
-            child.mbr = MBR.of_points(pts[idx])
-            node.children.append(child)
-
-    def remove(self, traj_id: int) -> bool:
-        """Remove a trajectory by id; returns False when absent.
-
-        The dataset row is tombstoned (bytes stay in place, row indices
-        held elsewhere stay stable) and dropped from its node.  Node MBRs
-        are left unshrunk (still sound — possibly looser), as in
-        lazy-deletion R-trees.
-        """
-        row = self.dataset.mark_removed(traj_id)
-        if row is None:
-            return False
-
-        def walk(node: TrieNode) -> bool:
-            for lst in (node.short_rows, node.rows):
-                for i, r in enumerate(lst):
-                    if r == row:
-                        del lst[i]
-                        return True
-            return any(walk(c) for c in node.children)
-
-        walk(self.root)
-        self._index_seqs.pop(row, None)
-        self._mutations += 1  # stacked batch/columnar arrays are stale now
-        return True
-
-    # ------------------------------------------------------------------ #
-    # serialization (see repro.core.persistence)
-    # ------------------------------------------------------------------ #
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form of the trie structure (ids, not data)."""
-        ids = self.dataset.traj_ids
-
-        def node_dict(n: TrieNode) -> dict:
-            return {
-                "level": n.level,
-                "kind": n.kind,
-                "mbr": None if n.mbr is None else [n.mbr.low.tolist(), n.mbr.high.tolist()],
-                "max_len": n.max_len,
-                "short": [int(ids[r]) for r in n.short_rows],
-                "leaf": [int(ids[r]) for r in n.rows],
-                "children": [node_dict(c) for c in n.children],
-            }
-
-        return node_dict(self.root)
-
-    @classmethod
-    def from_dict(
-        cls,
-        data: dict,
-        trajectories: Union[ColumnarDataset, Iterable[Trajectory]],
-        config: DITAConfig,
-    ) -> "TrieIndex":
-        """Rebuild a TrieIndex from :meth:`to_dict` output plus the raw
-        trajectories (verification artifacts are recomputed — they are
-        derived data)."""
-        dataset = ColumnarDataset.from_trajectories(trajectories)
-
-        def build(d: dict) -> TrieNode:
-            node = TrieNode(
-                level=int(d["level"]),
-                kind=d["kind"],
-                mbr=None if d["mbr"] is None else MBR(d["mbr"][0], d["mbr"][1]),
-                max_len=int(d["max_len"]),
-            )
-            node.short_rows = [dataset.row_of(i) for i in d["short"]]
-            node.rows = [dataset.row_of(i) for i in d["leaf"]]
-            node.children = [build(c) for c in d["children"]]
-            return node
-
-        return cls(dataset, config, _root=build(data))
 
     def size_bytes(self) -> int:
         """Approximate *structural* index footprint: trie nodes, their MBRs,

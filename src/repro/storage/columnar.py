@@ -22,8 +22,9 @@ that the batch search/join/kNN paths never touch objects.
 
 The arrays may be ordinary ndarrays or read-only ``np.memmap`` views of a
 persisted store block (:mod:`repro.storage.store`) — all consumers are
-agnostic.  Removal is handled with a tombstone mask so row indices held
-by index structures stay stable.
+agnostic.  A dataset is immutable once built: writes go through
+:class:`~repro.storage.delta.DeltaPartition`, which produces a new
+compact dataset on apply.
 """
 
 from __future__ import annotations
@@ -85,11 +86,6 @@ class ColumnarDataset:
         self.point_starts = _read_only(point_starts)
         self.point_coords = _read_only(point_coords)
         self._ndim = int(point_coords.shape[1]) if point_coords.ndim == 2 and point_coords.shape[1] else 2
-        #: tombstone mask (None means every row is alive)
-        self._dead: Optional[np.ndarray] = None
-        self._n_dead = 0
-        #: bumped on append / removal; derived caches key on it
-        self.version = 0
         #: number of Trajectory objects materialized from this dataset
         self.materializations = 0
         self._row_by_id: Optional[dict] = None
@@ -132,11 +128,11 @@ class ColumnarDataset:
 
     @property
     def n_rows(self) -> int:
-        """Total rows including tombstoned ones (the index row space)."""
+        """Number of rows (the index row space)."""
         return int(self.traj_ids.shape[0])
 
     def __len__(self) -> int:
-        return self.n_rows - self._n_dead
+        return self.n_rows
 
     @property
     def ndim(self) -> int:
@@ -191,31 +187,24 @@ class ColumnarDataset:
                 self._mbr_highs = _read_only(np.empty((0, self.ndim), dtype=np.float64))
         return self._mbr_highs
 
-    # TrajectoryDataset-compatible array accessors (alive rows only)
+    # TrajectoryDataset-compatible array accessors
     def first_points(self) -> np.ndarray:
-        return self.firsts[self.alive_rows()]
+        return self.firsts
 
     def last_points(self) -> np.ndarray:
-        return self.lasts[self.alive_rows()]
+        return self.lasts
 
     def nbytes(self) -> int:
-        """Raw point bytes of the alive rows (cost-accounting metric)."""
-        if self._dead is None:
-            return int(self.point_coords.nbytes)
-        return int(self.lengths[self.alive_rows()].sum()) * self.ndim * 8
+        """Raw point bytes (cost-accounting metric)."""
+        return int(self.point_coords.nbytes)
 
     # ------------------------------------------------------------------ #
     # rows and views
     # ------------------------------------------------------------------ #
 
     def alive_rows(self) -> np.ndarray:
-        """Row indices of the non-tombstoned rows, ascending."""
-        if self._dead is None:
-            return np.arange(self.n_rows, dtype=np.int64)
-        return np.nonzero(~self._dead)[0].astype(np.int64)
-
-    def is_alive(self, row: int) -> bool:
-        return self._dead is None or not bool(self._dead[row])
+        """Every row index, ascending (datasets hold no dead rows)."""
+        return np.arange(self.n_rows, dtype=np.int64)
 
     def points(self, row: int) -> np.ndarray:
         """Zero-copy ``(len, ndim)`` view of one row's points."""
@@ -238,11 +227,9 @@ class ColumnarDataset:
         return [int(i) for i in self.traj_ids[np.asarray(rows, dtype=np.int64)]]
 
     def row_of(self, traj_id: int) -> int:
-        """Row index of an alive trajectory id (KeyError when absent)."""
+        """Row index of a trajectory id (KeyError when absent)."""
         if self._row_by_id is None:
-            self._row_by_id = {
-                int(tid): r for r, tid in enumerate(self.traj_ids) if self.is_alive(r)
-            }
+            self._row_by_id = {int(tid): r for r, tid in enumerate(self.traj_ids)}
         return self._row_by_id[traj_id]
 
     def __contains__(self, traj_id: int) -> bool:
@@ -257,14 +244,14 @@ class ColumnarDataset:
 
     @property
     def ids(self) -> List[int]:
-        return [int(i) for i in self.traj_ids[self.alive_rows()]]
+        return [int(i) for i in self.traj_ids]
 
     def __iter__(self) -> Iterator[Trajectory]:
-        for row in self.alive_rows():
-            yield self.view(int(row))
+        for row in range(self.n_rows):
+            yield self.view(row)
 
     def __getitem__(self, idx: int) -> Trajectory:
-        return self.view(int(self.alive_rows()[idx]))
+        return self.view(range(self.n_rows)[idx])
 
     def subset(self, rows: Sequence[int]) -> "ColumnarDataset":
         """A new compact dataset holding the selected rows, in order."""
@@ -288,106 +275,24 @@ class ColumnarDataset:
         """A deterministic random sample of ``fraction`` of the dataset."""
         if not 0 < fraction <= 1:
             raise ValueError("fraction must be in (0, 1]")
-        alive = self.alive_rows()
         if fraction == 1.0:
-            return self.subset(alive)
+            return self.subset(self.alive_rows())
         rng = np.random.default_rng(seed)
-        n = max(1, int(round(alive.shape[0] * fraction)))
-        idx = rng.choice(alive.shape[0], size=n, replace=False)
-        return self.subset(alive[np.sort(idx)])
-
-    # ------------------------------------------------------------------ #
-    # mutation (rare paths: live inserts and lazy deletion)
-    # ------------------------------------------------------------------ #
-
-    def append(self, traj: Trajectory) -> int:
-        """Append one trajectory; returns its (stable) row index.
-
-        Existing rows keep their indices, so index structures holding row
-        ids stay valid.  The arrays are re-concatenated — appends are the
-        rare path; bulk construction goes through :meth:`from_trajectories`
-        or the store loaders.
-        """
-        if traj.traj_id in self:
-            raise ValueError(f"trajectory {traj.traj_id} already present")
-        row = self.n_rows
-        pts = np.asarray(traj.points, dtype=np.float64)
-        if self.n_rows == 0 and self.point_coords.shape[1] != pts.shape[1]:
-            self.point_coords = np.empty((0, pts.shape[1]), dtype=np.float64)
-            self._ndim = int(pts.shape[1])
-        self.traj_ids = _read_only(
-            np.concatenate([self.traj_ids, np.asarray([traj.traj_id], dtype=np.int64)])
-        )
-        self.point_starts = _read_only(
-            np.concatenate(
-                [self.point_starts, np.asarray([self.n_points + len(traj)], dtype=np.int64)]
-            )
-        )
-        self.point_coords = _read_only(np.concatenate([self.point_coords, pts], axis=0))
-        if self._dead is not None:
-            self._dead = np.concatenate([self._dead, np.zeros(1, dtype=bool)])
-        if self._row_by_id is not None:
-            self._row_by_id[traj.traj_id] = row
-        self._firsts = self._lasts = self._mbr_lows = self._mbr_highs = None
-        self._lengths = None
-        self.version += 1
-        return row
-
-    def mark_removed(self, traj_id: int) -> Optional[int]:
-        """Tombstone a trajectory by id; returns its row (None when absent).
-
-        The row's bytes stay in place (lazy deletion), so row indices held
-        by index structures remain stable; the row simply stops appearing
-        in iteration, ``ids`` and the alive-row summaries.
-        """
-        try:
-            row = self.row_of(traj_id)
-        except KeyError:
-            return None
-        if self._dead is None:
-            self._dead = np.zeros(self.n_rows, dtype=bool)
-        self._dead[row] = True
-        self._n_dead += 1
-        if self._row_by_id is not None:
-            del self._row_by_id[traj_id]
-        self.version += 1
-        return row
-
-    def mark_rows_removed(self, rows: "Sequence[int]") -> None:
-        """Tombstone rows *by index* — the store-attach path: a worker
-        process replaying the coordinator's removals onto its own mapped
-        block, where the removed ids are already gone from the catalog's
-        point of view but the row numbering must stay aligned."""
-        if not len(rows):
-            return
-        if self._dead is None:
-            self._dead = np.zeros(self.n_rows, dtype=bool)
-        for row in rows:
-            row = int(row)
-            if self._dead[row]:
-                continue
-            self._dead[row] = True
-            self._n_dead += 1
-            if self._row_by_id is not None:
-                self._row_by_id.pop(int(self.traj_ids[row]), None)
-        self.version += 1
-
-    def compact(self) -> "ColumnarDataset":
-        """A defragmented copy without tombstoned rows."""
-        return self.subset(self.alive_rows())
+        n = max(1, int(round(self.n_rows * fraction)))
+        idx = rng.choice(self.n_rows, size=n, replace=False)
+        return self.subset(np.sort(idx))
 
     def __repr__(self) -> str:
         return f"ColumnarDataset(n={len(self)}, points={self.n_points}, d={self.ndim})"
 
 
 def concat_datasets(parts: Sequence[ColumnarDataset]) -> ColumnarDataset:
-    """One compact dataset holding every alive row of ``parts``, in order.
+    """One compact dataset holding every row of ``parts``, in order.
 
-    Row order is each part's alive order, parts in the given sequence
+    Row order is each part's row order, parts in the given sequence
     order — the canonical layout online repartitioning feeds back into
     :func:`partition_rows`.  Trajectory ids must be unique across parts.
     """
-    parts = [p if p._dead is None else p.compact() for p in parts]
     parts = [p for p in parts if p.n_rows]
     if not parts:
         return ColumnarDataset.empty()
@@ -402,7 +307,7 @@ def concat_datasets(parts: Sequence[ColumnarDataset]) -> ColumnarDataset:
 def partition_rows(dataset: ColumnarDataset, n_groups: int) -> List[np.ndarray]:
     """First/last-point STR partitioning over the summary arrays.
 
-    Returns up to ``n_groups**2`` row-index arrays (alive rows only): STR
+    Returns up to ``n_groups**2`` row-index arrays: STR
     on first points into ``n_groups`` rank-balanced buckets, then each
     bucket STR-grouped by last point — the array-native form of the
     Section 4.2.1 global partitioning, shared by the engine and the
@@ -410,14 +315,11 @@ def partition_rows(dataset: ColumnarDataset, n_groups: int) -> List[np.ndarray]:
     """
     from ..spatial.str_pack import str_partition
 
-    alive = dataset.alive_rows()
-    if alive.shape[0] == 0:
+    if dataset.n_rows == 0:
         return []
-    firsts = dataset.firsts[alive]
-    lasts = dataset.lasts[alive]
+    lasts = dataset.lasts
     out: List[np.ndarray] = []
-    for bucket_idx in str_partition(firsts, n_groups):
-        bucket_rows = alive[bucket_idx]
+    for bucket_idx in str_partition(dataset.firsts, n_groups):
         for sub_idx in str_partition(lasts[bucket_idx], n_groups):
-            out.append(bucket_rows[sub_idx])
+            out.append(bucket_idx[sub_idx])
     return out

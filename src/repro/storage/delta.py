@@ -42,7 +42,7 @@ class DeltaPartition:
         self.appended: Dict[int, np.ndarray] = {}
         #: pending ids that shadow (replace) a base row
         self.replaced: Set[int] = set()
-        #: base ids to tombstone on apply
+        #: base ids dropped on apply
         self.removed: Set[int] = set()
 
     # ------------------------------------------------------------------ #
@@ -97,7 +97,7 @@ class DeltaPartition:
 
     @property
     def net_rows(self) -> int:
-        """Net change in the partition's alive-row count once applied."""
+        """Net change in the partition's row count once applied."""
         return len(self.appended) - len(self.replaced) - len(self.removed)
 
     def __bool__(self) -> bool:
@@ -123,11 +123,10 @@ class DeltaPartition:
         """
         gone = self.removed | self.replaced
         if base is not None and base.n_rows:
-            alive = base.alive_rows()
+            keep = base.alive_rows()
             if gone:
-                keep_mask = ~np.isin(base.traj_ids[alive], np.fromiter(gone, dtype=np.int64))
-                alive = alive[keep_mask]
-            base_part = base.subset(alive)
+                keep = keep[~np.isin(base.traj_ids, np.fromiter(gone, dtype=np.int64))]
+            base_part = base.subset(keep)
         else:
             base_part = ColumnarDataset.empty(self._ndim or 2)
         if not self.appended:

@@ -255,10 +255,10 @@ def snapshot_partitions(
 ) -> "TrajectoryStore":
     """Persist an engine's live partitions *verbatim* under ``path``.
 
-    Unlike :func:`build_store`, nothing is repartitioned, reordered or
-    compacted: each dataset is written row-for-row (tombstoned rows
-    included) under its given partition id, so row indices in the
-    written blocks are exactly the coordinator's row indices.  This is
+    Unlike :func:`build_store`, nothing is repartitioned or reordered:
+    each dataset is written row-for-row under its given partition id, so
+    row indices in the written blocks are exactly the coordinator's row
+    indices.  This is
     the spill path the process backend uses to hand worker processes a
     mappable view of an engine that was built from objects (or mutated
     since its store was written) — result rows resolved by a worker must

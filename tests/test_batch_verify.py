@@ -4,8 +4,8 @@
 columnar dataset's row space) must return the same matches, in the same
 order, with the same :class:`VerifyStats` counts, as calling
 :meth:`Verifier.verify` per candidate — for every verifier configuration,
-including custom cell bounds with no batched equivalent.  The block cache
-on :class:`TrieIndex` must invalidate on insert/remove.
+including custom cell bounds with no batched equivalent.  A delta flush
+must rebuild the partition's block.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import pytest
 from repro.baselines.mbe import MBEIndex, envelope_lower_bound
 from repro.core.adapters import get_adapter
 from repro.core.config import DITAConfig
+from repro.core.engine import DITAEngine
 from repro.core.numerics import slack
-from repro.core.trie import TrieIndex
 from repro.core.verify import VerificationData, VerifyStats
 from repro.datagen import beijing_like
 from repro.kernels import TrajectoryBlock, batch_cell_bounds, batch_mbr_coverage
@@ -137,23 +137,27 @@ def test_block_rows_share_dataset_row_space(data, dataset, block):
 
 class TestBlockCache:
     def test_trie_block_invalidated_on_insert_and_remove(self, data):
-        cfg = DITAConfig(cell_size=CELL_SIZE)
-        trie = TrieIndex(data[:-1], cfg)
-        b1 = trie.batch_block()
-        assert trie.batch_block() is b1  # cached
+        """A flush rebuilds the partition's block; a trie never mutates."""
+        engine = DITAEngine(data[:-1], DITAConfig(num_global_partitions=1, cell_size=CELL_SIZE))
+        b1 = engine.trie(0).batch_block()
+        assert engine.trie(0).batch_block() is b1  # cached
         extra = data[-1]
-        trie.insert(extra)
-        b2 = trie.batch_block()
+        engine.append_trajectory(extra.traj_id, extra.points)
+        engine.flush_deltas()
+        b2 = engine.trie(0).batch_block()
         assert b2 is not b1
         assert extra.traj_id in b2.ids.tolist()
         assert len(b2) == len(data)
-        assert trie.remove(extra.traj_id)
-        b3 = trie.batch_block()
+        row = b2.ids.tolist().index(extra.traj_id)
+        direct = VerificationData.from_points(extra.points, CELL_SIZE)
+        assert np.array_equal(b2.cellset_of(row).centers, direct.cells.centers)
+        assert engine.remove_trajectory(extra.traj_id)
+        engine.flush_deltas()
+        b3 = engine.trie(0).batch_block()
         assert b3 is not b2
-        # the tombstoned row stays in the row space but its cells are gone
-        row = len(data) - 1
-        assert int(b3.cell_starts[row + 1] - b3.cell_starts[row]) == 0
-        assert len(trie.dataset) == len(data) - 1
+        # the removed row leaves the row space
+        assert extra.traj_id not in b3.ids.tolist()
+        assert len(b3) == len(engine.partition(0)) == len(data) - 1
 
 
 def test_mbe_stacked_bounds_match_loop(data):

@@ -2,7 +2,7 @@
 
 The columnar frontier filter must reproduce ``_filter_reference`` exactly —
 same candidate sets, same ``FilterStats`` counts — for every adapter, on
-tries of every shape (random fanouts, short leaves, post-insert/remove),
+tries of every shape (random fanouts, short leaves, post-append/remove),
 and batched filtering must equal the per-query loop.
 """
 
@@ -103,14 +103,26 @@ class TestDifferential:
 
     @pytest.mark.parametrize("adapter,tau", ADAPTER_CASES, ids=CASE_IDS)
     def test_post_insert_remove(self, adapter, tau):
+        """The tries a delta flush builds after streamed appends and
+        removes."""
         data = list(random_walk_dataset(60, avg_len=9, seed=23))
-        trie = TrieIndex(
-            data[:40], DITAConfig(trie_fanout=3, num_pivots=2, trie_leaf_capacity=2, cell_size=0.05)
+        engine = DITAEngine(
+            data[:40],
+            DITAConfig(
+                num_global_partitions=1,
+                trie_fanout=3,
+                num_pivots=2,
+                trie_leaf_capacity=2,
+                cell_size=0.05,
+            ),
         )
         for t in data[40:]:
-            trie.insert(t)
+            engine.append_trajectory(t.traj_id, t.points)
         for t in data[5:15]:
-            trie.remove(t.traj_id)
+            engine.remove_trajectory(t.traj_id)
+        engine.flush_deltas()
+        trie = engine.trie(0)
+        assert len(trie) == 50
         queries = [t.points for t in data[:4]] + [data[45].points]
         assert_parity(trie, queries, adapter, tau)
 
@@ -201,9 +213,10 @@ class TestEndToEnd:
 
 
 class TestOverflowNodeRegression:
-    """A node holding both leaf members and children (creatable through
-    insert's overflow path or deserialization) must emit its members *and*
-    keep walking — the old walk returned early and dropped candidates."""
+    """A node holding both leaf members and children (hand-built here; a
+    bulk build only places short rows beside children) must emit its
+    members *and* keep walking — the old walk returned early and dropped
+    candidates."""
 
     def _trie(self):
         t_a = Trajectory(1, [(0.0, 0.0), (0.1, 0.1), (0.2, 0.0), (0.3, 0.3)])
@@ -215,8 +228,9 @@ class TestOverflowNodeRegression:
             rows=[1],
             max_len=4,
         )
-        root = TrieNode(level=0, children=[child], rows=[0], max_len=4)
-        return TrieIndex([t_a, t_b], DITAConfig(num_pivots=2), _root=root)
+        trie = TrieIndex([t_a, t_b], DITAConfig(num_pivots=2))
+        trie.root = TrieNode(level=0, children=[child], rows=[0], max_len=4)
+        return trie
 
     def test_reference_walk_emits_members_and_descends(self):
         trie = self._trie()
@@ -277,12 +291,17 @@ class TestFallbacksAndLayout:
         assert flat == list(range(1, ct.n_nodes))
 
     def test_columnar_cache_invalidated_by_mutation(self):
+        """A flush swaps in a new trie whose layout covers the new row."""
         data = list(random_walk_dataset(20, avg_len=8, seed=1))
-        trie = TrieIndex(data[:19], DITAConfig(trie_fanout=3, num_pivots=2, cell_size=0.05))
-        c1 = trie.columnar()
-        assert trie.columnar() is c1  # cached while unchanged
-        trie.insert(data[19])
-        c2 = trie.columnar()
+        engine = DITAEngine(
+            data[:19],
+            DITAConfig(num_global_partitions=1, trie_fanout=3, num_pivots=2, cell_size=0.05),
+        )
+        c1 = engine.trie(0).columnar()
+        assert engine.trie(0).columnar() is c1  # cached while unchanged
+        engine.append_trajectory(data[19].traj_id, data[19].points)
+        engine.flush_deltas()
+        c2 = engine.trie(0).columnar()
         assert c2 is not c1
         assert int(c2.member_rows.shape[0]) == int(c1.member_rows.shape[0]) + 1
 

@@ -181,9 +181,9 @@ class TestBackendParity:
 
 class TestMutationParity:
     def test_spill_path_and_tombstones(self, data):
-        """Object-built engines exercise the snapshot/spill path; removes
-        must be replayed as tombstones in the workers and inserts must
-        force a pool respawn."""
+        """Object-built engines exercise the snapshot/spill path; streamed
+        removes and appends, once flushed, must reach the workers through
+        a fresh spill and a pool respawn."""
         sim = DITAEngine(data, _config("simulated"), "dtw")
         proc = DITAEngine(data, _config("process"), "dtw")
         try:
@@ -191,16 +191,19 @@ class TestMutationParity:
             assert _ids_and_dists(sim.search(q, 0.01)) == _ids_and_dists(
                 proc.search(q, 0.01)
             )
+            pool, spill = proc._pool, proc._spill_dir
+            assert pool is not None and spill is not None
             victim = _ids_and_dists(sim.search(q, 0.01))[0][0]
             for e in (sim, proc):
-                assert e.remove(victim)
-                e.insert(
-                    type(q)(990001, (np.asarray(q.points) + 0.0005).tolist())
-                )
+                assert e.remove_trajectory(victim)
+                e.append_trajectory(990001, np.asarray(q.points) + 1e-5)
             got_sim = _ids_and_dists(sim.search(q, 0.01))
             got_proc = _ids_and_dists(proc.search(q, 0.01))
             assert got_sim == got_proc
             assert victim not in [tid for tid, _ in got_proc]
+            assert 990001 in [tid for tid, _ in got_proc]
+            assert proc._pool is not None and proc._pool is not pool
+            assert proc._spill_dir is not None and proc._spill_dir != spill
         finally:
             sim.shutdown()
             proc.shutdown()

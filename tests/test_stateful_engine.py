@@ -1,5 +1,5 @@
 """Hypothesis stateful test: the live engine tracks a model under a random
-sequence of inserts, removes and searches."""
+sequence of streamed appends, extends, removes, flushes and searches."""
 
 import numpy as np
 from hypothesis import settings
@@ -22,7 +22,12 @@ class EngineMachine(RuleBasedStateMachine):
     def setup(self):
         base = list(citywide_dataset(12, seed=99))
         cfg = DITAConfig(
-            num_global_partitions=2, trie_fanout=2, num_pivots=2, trie_leaf_capacity=2, cell_size=0.01
+            num_global_partitions=2,
+            trie_fanout=2,
+            num_pivots=2,
+            trie_leaf_capacity=2,
+            cell_size=0.01,
+            delta_max_rows=3,
         )
         self.engine = DITAEngine(base, cfg)
         self.model = {t.traj_id: t for t in base}
@@ -30,18 +35,30 @@ class EngineMachine(RuleBasedStateMachine):
         self.distance = get_distance("dtw")
 
     @rule(points=point_lists)
-    def insert(self, points):
+    def append(self, points):
         t = Trajectory(self.next_id, np.asarray(points))
         self.next_id += 1
-        self.engine.insert(t)
+        self.engine.append_trajectory(t.traj_id, t.points)
         self.model[t.traj_id] = t
+
+    @rule(pick=st.integers(0, 10_000), points=point_lists)
+    def extend(self, pick, points):
+        tid = sorted(self.model)[pick % len(self.model)]
+        self.engine.extend_trajectory(tid, np.asarray(points))
+        full = np.concatenate([self.model[tid].points, np.asarray(points)], axis=0)
+        self.model[tid] = Trajectory(tid, full)
 
     @precondition(lambda self: len(self.model) > 3)
     @rule(pick=st.integers(0, 10_000))
     def remove(self, pick):
         tid = sorted(self.model)[pick % len(self.model)]
-        assert self.engine.remove(tid)
+        assert self.engine.remove_trajectory(tid)
         del self.model[tid]
+
+    @rule()
+    def flush(self):
+        self.engine.flush_deltas()
+        assert self.engine.n_pending == 0
 
     @rule(pick=st.integers(0, 10_000), tau=st.floats(0.0, 0.05))
     def search_matches_model(self, pick, tau):

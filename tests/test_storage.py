@@ -222,9 +222,9 @@ class TestEngineParity:
 
         engine = DITAEngine.from_store(store, _cfg(), lazy=True)
         twin = Trajectory(90_000, list(data)[0].points + 1e-5)
-        engine.insert(twin)
+        engine.append_trajectory(twin.traj_id, twin.points)
         assert engine.search_ids(twin, 1e-4) and 90_000 in engine.search_ids(twin, 1e-4)
-        assert engine.remove(90_000)
+        assert engine.remove_trajectory(90_000)
         assert 90_000 not in engine.search_ids(twin, 1e-4)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.adapters import DTWAdapter, FrechetAdapter
 from repro.core.config import DITAConfig
+from repro.core.engine import DITAEngine
 from repro.core.trie import FilterStats, TrieIndex
 from repro.datagen import citywide_dataset, random_walk_dataset
 from repro.distances.dtw import dtw
@@ -140,27 +141,33 @@ class TestParameterEffects:
 
 
 class TestMutationVersioning:
-    """Derived caches key on an explicit mutation counter, so an equal-size
-    remove+insert cycle can never resurrect stale stacked arrays (the old
-    length-equality check would have)."""
+    """A trie and its derived caches are immutable; a flush replaces the
+    partition's trie, so an equal-size remove+append cycle can never
+    resurrect stale stacked arrays."""
 
-    def _trie_and_extra(self):
+    def _engine_and_extra(self):
         data = list(random_walk_dataset(24, avg_len=8, seed=9))
-        cfg = DITAConfig(trie_fanout=3, num_pivots=2, trie_leaf_capacity=4, cell_size=0.05)
-        return TrieIndex(data[:23], cfg), data[23]
+        cfg = DITAConfig(
+            num_global_partitions=1, trie_fanout=3, num_pivots=2, trie_leaf_capacity=4, cell_size=0.05
+        )
+        return DITAEngine(data[:23], cfg), data[23]
 
     def test_caches_stable_without_mutation(self):
-        trie, _ = self._trie_and_extra()
+        engine, _ = self._engine_and_extra()
+        trie = engine.trie(0)
         assert trie.batch_block() is trie.batch_block()
         assert trie.columnar() is trie.columnar()
 
     def test_equal_size_remove_insert_refreshes_caches(self):
-        trie, extra = self._trie_and_extra()
+        engine, extra = self._engine_and_extra()
+        trie = engine.trie(0)
         victim = _all_ids(trie)[0]
         block_before = trie.batch_block()
         columnar_before = trie.columnar()
-        assert trie.remove(victim)
-        trie.insert(extra)  # same size as before the removal
+        assert engine.remove_trajectory(victim)
+        engine.append_trajectory(extra.traj_id, extra.points)  # same size as before
+        engine.flush_deltas()
+        trie = engine.trie(0)
         block_after = trie.batch_block()
         columnar_after = trie.columnar()
         assert block_after is not block_before
@@ -170,13 +177,16 @@ class TestMutationVersioning:
         }
         assert extra.traj_id in member_ids
         assert victim not in member_ids
+        assert extra.traj_id in block_after.ids.tolist()
+        assert victim not in block_after.ids.tolist()
 
     def test_filtering_sees_replacement(self):
-        trie, extra = self._trie_and_extra()
-        victim = _all_ids(trie)[0]
-        trie.filter_candidates(extra.points, 0.1, DTWAdapter())  # warm caches
-        trie.remove(victim)
-        trie.insert(extra)
-        ids = _cand_ids(trie, extra.points, 100.0, DTWAdapter())
+        engine, extra = self._engine_and_extra()
+        victim = _all_ids(engine.trie(0))[0]
+        engine.trie(0).filter_candidates(extra.points, 0.1, DTWAdapter())  # warm caches
+        engine.remove_trajectory(victim)
+        engine.append_trajectory(extra.traj_id, extra.points)
+        engine.flush_deltas()
+        ids = _cand_ids(engine.trie(0), extra.points, 100.0, DTWAdapter())
         assert extra.traj_id in ids
         assert victim not in ids

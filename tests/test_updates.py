@@ -1,4 +1,5 @@
-"""Tests for incremental index updates (insert/remove)."""
+"""Tests for incremental index updates through the streamed write path
+(append/extend/remove, folded in by delta flushes)."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import DITAConfig, DITAEngine
-from repro.core.trie import TrieIndex
 from repro.datagen import beijing_like, citywide_dataset
 from repro.distances import get_distance
 from repro.trajectory import Trajectory
@@ -28,53 +28,75 @@ def _indexed_ids(trie):
 
 
 class TestTrieInsert:
+    """A streamed append lands in the trie the next flush bulk-builds."""
+
     def test_insert_found_by_filter(self, cfg):
         base = list(beijing_like(30, seed=1))
-        trie = TrieIndex(base, cfg)
+        engine = DITAEngine(base, cfg)
         newcomer = Trajectory(999, base[0].points + 0.00001)
-        trie.insert(newcomer)
+        pid = engine.append_trajectory(newcomer.traj_id, newcomer.points)
+        engine.flush_deltas()
         from repro.core.adapters import DTWAdapter
 
+        trie = engine.trie(pid)
         candidates = trie.filter_candidates(base[0].points, 0.01, DTWAdapter())
         assert 999 in {int(i) for i in trie.dataset.ids_of(candidates)}
-        assert len(trie) == 31
+        assert len(engine) == 31
 
     def test_duplicate_insert_rejected(self, cfg):
+        """An id still pending in a delta is as taken as an indexed one."""
         base = list(beijing_like(10, seed=1))
-        trie = TrieIndex(base, cfg)
+        engine = DITAEngine(base, cfg)
+        engine.append_trajectory(800, [(0.1, 0.1), (0.11, 0.11)])
         with pytest.raises(ValueError):
-            trie.insert(base[0])
+            engine.append_trajectory(800, [(0.2, 0.2)])
+        assert len(engine) == 11
 
     def test_leaf_split_on_overflow(self, cfg):
         base = list(beijing_like(8, seed=2))
-        trie = TrieIndex(base, cfg)
-        nodes_before = trie.node_count()
+        engine = DITAEngine(base, cfg)
+        nodes_before = sum(engine.trie(p).node_count() for p in engine.partition_pids())
         # flood one area so some leaf must split
         for i in range(30):
-            trie.insert(Trajectory(500 + i, base[0].points + i * 1e-6))
-        assert trie.node_count() > nodes_before
-        assert sorted(_indexed_ids(trie)) == sorted(
+            engine.append_trajectory(500 + i, base[0].points + i * 1e-6)
+        engine.flush_deltas()
+        nodes_after = sum(engine.trie(p).node_count() for p in engine.partition_pids())
+        assert nodes_after > nodes_before
+        indexed = set()
+        for p in engine.partition_pids():
+            indexed |= _indexed_ids(engine.trie(p))
+        assert sorted(indexed) == sorted(
             [t.traj_id for t in base] + [500 + i for i in range(30)]
         )
 
     def test_single_point_insert(self, cfg):
         base = list(beijing_like(10, seed=3))
-        trie = TrieIndex(base, cfg)
-        trie.insert(Trajectory(700, [(0.1, 0.1)]))
-        assert 700 in _indexed_ids(trie)
+        engine = DITAEngine(base, cfg)
+        pid = engine.append_trajectory(700, [(0.1, 0.1)])
+        engine.flush_deltas()
+        assert 700 in _indexed_ids(engine.trie(pid))
 
 
 class TestTrieRemove:
+    """A streamed removal is gone from the trie the next flush builds."""
+
     def test_remove_existing(self, cfg):
         base = list(beijing_like(20, seed=4))
-        trie = TrieIndex(base, cfg)
-        assert trie.remove(base[5].traj_id)
-        assert base[5].traj_id not in _indexed_ids(trie)
-        assert len(trie) == 19
+        engine = DITAEngine(base, cfg)
+        assert engine.remove_trajectory(base[5].traj_id)
+        engine.flush_deltas()
+        for p in engine.partition_pids():
+            assert base[5].traj_id not in _indexed_ids(engine.trie(p))
+        assert sum(len(engine.trie(p)) for p in engine.partition_pids()) == 19
 
     def test_remove_absent(self, cfg):
-        trie = TrieIndex(list(beijing_like(10, seed=4)), cfg)
-        assert not trie.remove(12345)
+        """Removing an id twice: the second call finds nothing."""
+        engine = DITAEngine(list(beijing_like(10, seed=4)), cfg)
+        tid = engine.partition(engine.partition_pids()[0]).id_of(0)
+        assert engine.remove_trajectory(tid)
+        assert not engine.remove_trajectory(tid)
+        engine.flush_deltas()
+        assert not engine.remove_trajectory(tid)
 
 
 class TestEngineUpdates:
@@ -86,10 +108,10 @@ class TestEngineUpdates:
             for t in citywide_dataset(15, seed=6)
         ]
         for t in extra:
-            engine.insert(t)
+            engine.append_trajectory(t.traj_id, t.points)
         removed = {base[1].traj_id, base[9].traj_id}
         for tid in removed:
-            assert engine.remove(tid)
+            assert engine.remove_trajectory(tid)
         current = [t for t in base if t.traj_id not in removed] + extra
         assert len(engine) == len(current)
         for q in (current[0], extra[0]):
@@ -99,11 +121,11 @@ class TestEngineUpdates:
         base = list(beijing_like(10, seed=7))
         engine = DITAEngine(base, cfg)
         with pytest.raises(ValueError):
-            engine.insert(Trajectory(base[0].traj_id, [(0, 0), (1, 1)]))
+            engine.append_trajectory(base[0].traj_id, [(0, 0), (1, 1)])
 
     def test_remove_absent_false(self, cfg):
         engine = DITAEngine(list(beijing_like(10, seed=7)), cfg)
-        assert not engine.remove(98765)
+        assert not engine.remove_trajectory(98765)
 
     def test_insert_outside_all_partitions(self, cfg):
         """A trajectory outside every partition MBR still gets indexed and
@@ -111,14 +133,14 @@ class TestEngineUpdates:
         base = list(beijing_like(30, seed=8))
         engine = DITAEngine(base, cfg)
         faraway = Trajectory(3000, np.array([(5.0, 5.0), (5.1, 5.1), (5.2, 5.0)]))
-        engine.insert(faraway)
+        engine.append_trajectory(faraway.traj_id, faraway.points)
         assert engine.search_ids(faraway, 0.001) == [3000]
 
     def test_join_exact_after_updates(self, cfg):
         base = list(beijing_like(30, seed=9))
         engine = DITAEngine(base, cfg)
         twin = Trajectory(4000, base[0].points + 0.00001)
-        engine.insert(twin)
+        engine.append_trajectory(twin.traj_id, twin.points)
         pairs = engine.join(engine, 0.002)
         d = get_distance("dtw")
         current = base + [twin]
@@ -129,6 +151,64 @@ class TestEngineUpdates:
             if d.compute(a.points, b.points) <= 0.002
         )
         assert sorted((a, b) for a, b, _ in pairs) == want
+
+
+class TestWriteValidation:
+    """The write entry rejects malformed points before routing or any
+    state change: engine size, generation and pending count are
+    untouched by a rejected append or extend."""
+
+    BAD = {
+        "nan": [(0.1, 0.1), (float("nan"), 0.1)],
+        "inf": [(0.1, 0.1), (0.2, float("inf"))],
+        "-inf": [(float("-inf"), 0.1)],
+        "empty": np.empty((0, 2)),
+        "empty-list": [],
+        "3d-array": np.zeros((2, 2, 2)),
+        "wrong-width": [(0.1, 0.1, 0.1)],
+    }
+
+    def _engine(self, cfg):
+        return DITAEngine(list(beijing_like(20, seed=12)), cfg)
+
+    def _state(self, engine):
+        return len(engine), engine.generation, engine.n_pending
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_append_rejected(self, cfg, kind):
+        engine = self._engine(cfg)
+        engine.append_trajectory(7_000, [(0.05, 0.05)])  # something pending
+        before = self._state(engine)
+        with pytest.raises(ValueError):
+            engine.append_trajectory(7_001, self.BAD[kind])
+        assert self._state(engine) == before
+        assert engine.remove_trajectory(7_000)  # 7_001 never entered
+        assert not engine.remove_trajectory(7_001)
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_extend_rejected(self, cfg, kind):
+        engine = self._engine(cfg)
+        base_id = engine.partition(engine.partition_pids()[0]).id_of(0)
+        engine.append_trajectory(7_000, [(0.05, 0.05)])
+        before = self._state(engine)
+        for tid in (base_id, 7_000):  # an indexed id and a pending one
+            with pytest.raises(ValueError):
+                engine.extend_trajectory(tid, self.BAD[kind])
+            assert self._state(engine) == before
+        engine.flush_deltas()
+        assert engine.trajectory(7_000).points.tolist() == [[0.05, 0.05]]
+
+    def test_error_names_the_problem(self, cfg):
+        engine = self._engine(cfg)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            engine.append_trajectory(7_002, self.BAD["nan"])
+        with pytest.raises(ValueError, match="at least one point"):
+            engine.append_trajectory(7_002, self.BAD["empty"])
+        with pytest.raises(ValueError, match="coordinates"):
+            engine.append_trajectory(7_002, self.BAD["wrong-width"])
+        with pytest.raises(ValueError, match="shape"):
+            engine.append_trajectory(7_002, self.BAD["3d-array"])
+
 
 class TestExtendAfterRemove:
     """The remove → extend / remove → re-append sequences on the *same id*
@@ -168,14 +248,16 @@ class TestExtendAfterRemove:
         assert engine.search_ids(q, 0.003) == _brute(current, q, 0.003)
 
     def test_remove_then_reinsert_same_id_immediate_path(self, cfg):
-        """The same hazard through the immediate insert/remove path: the
-        partition's cached batch block must rebuild, not serve the dead row."""
+        """The same hazard with a flush after each write: the partition's
+        batch block must be rebuilt, not serve the removed row."""
         base = list(beijing_like(20, seed=11))
         engine = DITAEngine(base, cfg)
         tid = base[3].traj_id
         replacement = np.asarray([(0.12, 0.12), (0.13, 0.13), (0.14, 0.12)])
-        assert engine.remove(tid)
-        engine.insert(Trajectory(tid, replacement))
+        assert engine.remove_trajectory(tid)
+        engine.flush_deltas()
+        engine.append_trajectory(tid, replacement)
+        engine.flush_deltas()
         probe = Trajectory(-1, replacement)
         assert engine.search_ids(probe, 1e-9) == [tid]
         old_probe = Trajectory(-2, base[3].points)
@@ -213,12 +295,14 @@ class TestRandomUpdateSequences:
                 pts = rng.uniform(0, 0.2, size=(int(rng.integers(1, 8)), 2))
                 t = Trajectory(next_id, pts)
                 next_id += 1
-                engine.insert(t)
+                engine.append_trajectory(t.traj_id, t.points)
                 current[t.traj_id] = t
             else:
                 victim = int(rng.choice(sorted(current)))
-                assert engine.remove(victim)
+                assert engine.remove_trajectory(victim)
                 del current[victim]
+            if rng.random() < 0.3:
+                engine.flush_deltas()
         q = list(current.values())[0]
         assert engine.search_ids(q, 0.01) == _brute(current.values(), q, 0.01)
 
@@ -265,15 +349,6 @@ class TestGenerationCounter:
         for p in engine.partition_pids():
             if p != pid:
                 assert after[p] == before[p]
-
-    def test_legacy_insert_remove_bump(self):
-        engine, base = self._engine()
-        g0 = engine.generation
-        engine.insert(Trajectory(9003, [(0.02, 0.02), (0.03, 0.03)]))
-        assert engine.generation > g0
-        g1 = engine.generation
-        assert engine.remove(9003)
-        assert engine.generation > g1
 
     def test_repartition_bumps(self):
         engine, _ = self._engine(n=30)
